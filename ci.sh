@@ -15,52 +15,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 say "build (release)"
 cargo build --release
 
+# Every workspace crate is a default member, so this one run covers the
+# suites the engine's contracts rest on: geo2c-serve's unit and property
+# tests, the load-state equivalence layers (geo2c-core's
+# loadvec_equivalence, geo2c-serve's packed_equivalence), the chaos
+# suite (fault_recovery), the crash-point recovery suite
+# (crash_recovery) and the departure wheel's heap oracle and arena bound
+# (wheel_oracle). A failure names its suite and test in the output.
 say "tests (workspace unit + integration + doctests)"
 cargo test -q
 
-# The serving engine's property layer (conservation, prefix-replay
-# byte-identity, event-sequential reference equality) is the contract
-# the serving experiment family rests on; run it by name so a failure
-# is attributed to the engine rather than to a drifted expectation.
-say "serving engine (geo2c-serve unit + property tests)"
-cargo test -q -p geo2c-serve
-
-# The packed/sharded load states are byte-for-byte replacements for the
-# flat Vec<u32> — every committed number rests on that equivalence. Run
-# the pinning proptest layers by name (the offline batch engine across
-# all spaces x d x tie policies, and the serving engine with departures,
-# failures, and spill/un-spill churn) so a divergence is attributed to
-# the load-state layer, not to a drifted expectation downstream.
-say "load-state equivalence (packed/sharded == flat, offline + serving)"
-cargo test -q -p geo2c-core --test loadvec_equivalence
-cargo test -q -p geo2c-serve --test packed_equivalence
-
-# The resilience layer's chaos suite: fault plans replay byte-identically
-# (one-shot == chunked == resumed), arrivals are conserved under
-# arbitrary fail/recover churn, recovery restores availability, the
-# departure heap stays bounded (the leak fix's oracle), and
-# checkpoint/restore resumes byte-identically on flat, packed, and
-# sharded backings. Run by name so a failure is attributed to the fault
-# path rather than to a drifted expectation downstream.
-say "fault injection & recovery (chaos proptests incl. checkpoint/restore)"
-cargo test -q -p geo2c-serve --test fault_recovery
-
-# The durability layer's crash suite: checkpoint/journal round trips,
-# torn-tail truncation vs loud corruption, mid-rename crash residue, and
-# the headline pin — resume + replay is byte-identical to the
-# uninterrupted run at arbitrary crash points, across load backings and
-# both schedulers. Run by name so a failure is attributed to the
-# journal/recovery path itself.
-say "durable checkpoint/journal (crash-point recovery proptests)"
-cargo test -q -p geo2c-serve --test crash_recovery
-
-# The timing wheel replaced the departure heap on the serving hot path;
-# the heap stays on as the oracle. The wheel must be observationally
-# equal to it under arbitrary op scripts (queue level) and produce
-# byte-identical engine checkpoints under faults (engine level). Run by
-# name so a failure is attributed to the scheduler swap itself.
-say "departure wheel vs heap oracle (queue-level + engine-level proptests)"
-cargo test -q -p geo2c-serve --test wheel_oracle
+# The vendored proptest shim is not a default member; its own tests pin
+# the failing-case report (name, case, seed, replay value).
+say "proptest shim (failing-case report and replay seed)"
+cargo test -q -p proptest
 
 say "docs (no warnings allowed)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

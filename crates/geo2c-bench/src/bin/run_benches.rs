@@ -57,6 +57,13 @@ use geo2c_report::{ExperimentResult, Provenance, ResultSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+const USAGE: &str = "\
+usage: run_benches [--quick] [--check] [--tolerance PCT] [--seed S]
+                   [--dir DIR] [--out PATH] [--against PATH] [--archive [LABEL]]
+                   [--only SUBSTR[,SUBSTR]] [--repeats N] [--window-ms MS]
+       run_benches --diff AFTER.json BEFORE.json [--min-speedup R --only SUBSTR[,SUBSTR]]
+       run_benches --ratio FILE.json NUM_NAME DEN_NAME MAX";
+
 struct Args {
     scale: &'static BenchScale,
     check: bool,
@@ -154,13 +161,14 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("window millis");
             }
-            other => panic!(
-                "unknown flag '{other}'\nusage: run_benches [--quick] [--check] \
-                 [--tolerance PCT] [--seed S] [--dir DIR] [--out PATH] [--against PATH] \
-                 [--archive [LABEL]] [--only SUBSTR[,SUBSTR]] [--repeats N] [--window-ms MS] \
-                 | --diff AFTER BEFORE [--min-speedup R --only SUBSTR[,SUBSTR]] \
-                 | --ratio FILE NUM_NAME DEN_NAME MAX"
-            ),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            other => {
+                eprintln!("unknown flag '{other}'\n{USAGE}");
+                std::process::exit(2);
+            }
         }
         i += 1;
     }

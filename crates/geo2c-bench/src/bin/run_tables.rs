@@ -44,6 +44,10 @@ use geo2c_report::{compare_sets, ExperimentResult, Provenance, ResultSet, Tolera
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+const USAGE: &str = "\
+usage: run_tables [--quick | --full] [--check [--against DIR]] [--render]
+                  [--only ID,ID] [--dir DIR] [--seed S] [--threads T]";
+
 struct Args {
     scale: &'static Scale,
     check: bool,
@@ -100,11 +104,14 @@ fn parse_args() -> Args {
             "--threads" => {
                 args.threads = take(&argv, &mut i, "--threads").parse().expect("threads");
             }
-            other => panic!(
-                "unknown flag '{other}'\nusage: run_tables [--quick | --full] \
-                 [--check [--against DIR]] [--render] [--only ID,ID] [--dir DIR] \
-                 [--seed S] [--threads T]"
-            ),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            other => {
+                eprintln!("unknown flag '{other}'\n{USAGE}");
+                std::process::exit(2);
+            }
         }
         i += 1;
     }

@@ -162,6 +162,37 @@ fn only_flag_rejects_unknown_experiment_ids() {
 }
 
 #[test]
+fn help_prints_usage_and_unknown_flags_exit_2_without_a_panic() {
+    for (name, exe) in [
+        ("run_tables", env!("CARGO_BIN_EXE_run_tables")),
+        ("run_benches", env!("CARGO_BIN_EXE_run_benches")),
+    ] {
+        for help in ["--help", "-h"] {
+            let output = Command::new(exe).arg(help).output().expect("executes");
+            assert_eq!(output.status.code(), Some(0), "{name} {help}: {output:?}");
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            assert!(
+                stdout.starts_with(&format!("usage: {name}")),
+                "{name} {help} stdout: {stdout}"
+            );
+            assert!(output.stderr.is_empty(), "{name} {help}: {output:?}");
+        }
+        let output = Command::new(exe)
+            .args(["--quick", "--bogus"])
+            .output()
+            .expect("executes");
+        assert_eq!(output.status.code(), Some(2), "{name} --bogus: {output:?}");
+        assert!(output.stdout.is_empty(), "{name} --bogus: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("unknown flag '--bogus'") && stderr.contains(&format!("usage: {name}")),
+            "{name} --bogus stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name} --bogus: {stderr}");
+    }
+}
+
+#[test]
 fn quick_expectations_in_the_repository_match_the_current_scale() {
     // The committed results/quick/*.json must carry the spec the QUICK
     // scale would run today — otherwise ci.sh's `--quick --check` is

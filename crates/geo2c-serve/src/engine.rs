@@ -251,6 +251,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// start).
     #[must_use]
     pub fn with_scheduler(space: S, config: ServeConfig, root: u64, loads: L) -> Self {
+        let departures = Q::with_origin(space.num_servers(), 0);
+        Self::with_queue(space, config, root, loads, departures)
+    }
+
+    /// [`ServeEngine::with_scheduler`] around an already built, empty
+    /// `departures` queue.
+    fn with_queue(space: S, config: ServeConfig, root: u64, loads: L, departures: Q) -> Self {
         assert!(
             config.strategy.supports_cross_ball_batching(),
             "serving requires a lane-form strategy (not the split scheme)"
@@ -279,7 +286,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             lanes: EventLanes::new(root),
             loads,
             failed: vec![false; n],
-            departures: Q::with_origin(n, 0),
+            departures,
             clock: 0,
             departed: 0,
             shed_capacity: 0,
@@ -315,8 +322,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         state: &EngineState,
         loads: L,
     ) -> Self {
-        let mut engine = Self::with_scheduler(space, config, root, loads);
-        let n = engine.space.num_servers();
+        // Key the queue to the checkpoint clock, with room for the whole
+        // image: every outstanding deadline is ≥ arrivals (earlier ones
+        // already drained), and a wheel origined mid-stream files by
+        // delta.
+        let n = space.num_servers();
+        let departures = Q::with_capacity(n, state.counters.arrivals, state.departures.len());
+        let mut engine = Self::with_queue(space, config, root, loads, departures);
         assert_eq!(state.loads.len(), n, "checkpoint sized for another space");
         assert_eq!(state.failed.len(), n, "checkpoint sized for another space");
         assert_eq!(
@@ -364,10 +376,6 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             }
         }
         engine.failed.copy_from_slice(&state.failed);
-        // Re-key the queue to the checkpoint clock before re-filing:
-        // every outstanding deadline is ≥ arrivals (earlier ones already
-        // drained), and a wheel origined mid-stream files by delta.
-        engine.departures = Q::with_origin(n, state.counters.arrivals);
         for &(when, server) in &state.departures {
             let s = server as usize;
             assert!(s < n, "departure entry outside the space");
@@ -657,6 +665,12 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     #[must_use]
     pub fn config(&self) -> &ServeConfig {
         &self.config
+    }
+
+    /// The departure queue, e.g. to read the wheel's arena occupancy.
+    #[must_use]
+    pub fn departures(&self) -> &Q {
+        &self.departures
     }
 
     /// Point-in-time statistics over the live loads: one counting pass

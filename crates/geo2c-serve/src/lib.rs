@@ -29,7 +29,14 @@
 //!
 //! **Scheduling.** Departure deadlines live in a hierarchical timing
 //! wheel ([`wheel::DepartureWheel`]): O(1) schedule, O(due) drain, and
-//! O(1) epoch-based lazy purge when a server fails. The engine is
+//! O(1) epoch-based lazy purge when a server fails. Its level-1 windows
+//! and overflow hold their entries by value in fixed-size chunks drawn
+//! from one shared arena, so cascades stream through contiguous memory,
+//! and an emptied list returns its chunks: the arena stays within one
+//! chunk per [`wheel::DepartureWheel::CHUNK`] filed entries plus one
+//! partial chunk per occupied list. Level 0, one deadline per slot,
+//! links its few entries through a small cache-resident node pool. The
+//! engine is
 //! generic over the [`wheel::DepartureQueue`] trait, and the binary
 //! heap the wheel replaced stays on as [`wheel::HeapQueue`], the oracle
 //! the `tests/wheel_oracle.rs` property suite proves the wheel against.
